@@ -74,9 +74,9 @@ func (a *analyzer) interpret(fn *Func, report bool) *Summary {
 	return in.sum
 }
 
-func (in *interp) spec() *Spec                    { return in.a.spec }
-func (in *interp) info() *types.Info              { return in.fn.Unit.Info }
-func (in *interp) typeOf(e ast.Expr) types.Type   { return in.info().TypeOf(e) }
+func (in *interp) spec() *Spec                  { return in.a.spec }
+func (in *interp) info() *types.Info            { return in.fn.Unit.Info }
+func (in *interp) typeOf(e ast.Expr) types.Type { return in.info().TypeOf(e) }
 func (in *interp) obj(id *ast.Ident) types.Object {
 	if o := in.info().Uses[id]; o != nil {
 		return o

@@ -1,11 +1,9 @@
 package l1
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"io"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"logscape/internal/core"
 	"logscape/internal/logmodel"
@@ -162,31 +160,54 @@ func DirectionTest(rng *rand.Rand, a, b []logmodel.Millis, slot logmodel.TimeRan
 // sequence for the RefTotalActivity reference (ignored under RefUniform;
 // falls back to uniform when total is empty).
 func DirectionTestRef(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) DirectionResult {
+	// A fresh scratch: the samples in the result belong to the caller.
+	var sc scratch
 	cfg = cfg.withDefaults()
-	dist := pointproc.DistNearest
-	if cfg.Distance == DistNext {
-		dist = pointproc.DistNext
-	}
-	var random []logmodel.Millis
+	res := sc.direction(rng, a, b, total, slot, &cfg)
+	sort.Float64s(res.RandomSample)
+	sort.Float64s(res.CandidateSample)
+	return res
+}
+
+// scratch holds the reusable state of slot tests: a generator for the
+// per-pair streams and the sample buffers, so a run of tests allocates
+// nothing once the buffers have grown. SlotOutcomes and SlotTestRef draw
+// one from scratchPool per pair.
+type scratch struct {
+	rng    *rand.Rand
+	points []logmodel.Millis
+	sub    pointproc.Subsampler
+	sr, sb []float64
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{rng: rand.New(rand.NewSource(0))}
+}}
+
+// direction is DirectionTestRef for a cfg with defaults applied. The
+// samples in the result alias sc's buffers and are unsorted: the median
+// interval only needs two order statistics, which MedianCIInPlace selects.
+func (sc *scratch) direction(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg *Config) DirectionResult {
 	if cfg.Reference == RefTotalActivity && len(total) > 0 {
-		random = resampleJittered(rng, total, slot, cfg.SampleSize, cfg.ReferenceJitter)
+		sc.points = appendJittered(sc.points[:0], rng, total, slot, cfg.SampleSize, cfg.ReferenceJitter)
 	} else {
-		random = pointproc.UniformPoints(rng, slot, cfg.SampleSize)
+		sc.points = pointproc.AppendUniform(sc.points[:0], rng, slot, cfg.SampleSize)
 	}
-	sub := pointproc.Subsample(rng, b, cfg.SampleSize)
-	sr := pointproc.DistanceSample(random, a, dist)
-	sb := pointproc.DistanceSample(sub, a, dist)
-	sort.Float64s(sr)
-	sort.Float64s(sb)
-	res := DirectionResult{RandomSample: sr, CandidateSample: sb}
-	ciFor := func(sorted []float64) (stats.CI, error) {
+	sub := sc.sub.Subsample(rng, b, cfg.SampleSize)
+	next := cfg.Distance == DistNext
+	sc.sr = pointproc.AppendDistances(sc.sr[:0], sc.points, a, next)
+	sc.sb = pointproc.AppendSortedDistances(sc.sb[:0], sub, a, next)
+	res := DirectionResult{RandomSample: sc.sr, CandidateSample: sc.sb}
+	ciFor := func(xs []float64) (stats.CI, error) {
 		if cfg.Statistic == StatMean {
-			return stats.MeanCI(sorted, cfg.Level)
+			// MeanCI's float sums depend on the order: keep it sorted.
+			sort.Float64s(xs)
+			return stats.MeanCI(xs, cfg.Level)
 		}
-		return stats.MedianCI(sorted, cfg.Level)
+		return stats.MedianCIInPlace(xs, cfg.Level)
 	}
-	ciR, errR := ciFor(sr)
-	ciB, errB := ciFor(sb)
+	ciR, errR := ciFor(sc.sr)
+	ciB, errB := ciFor(sc.sb)
 	if errR != nil || errB != nil {
 		return res
 	}
@@ -197,13 +218,12 @@ func DirectionTestRef(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmod
 	return res
 }
 
-// resampleJittered draws n points by resampling the total-activity
+// appendJittered appends n points drawn by resampling the total-activity
 // timestamps with uniform jitter of ±j, clamped to the slot — an empirical
 // non-homogeneous reference process whose intensity follows the overall
 // load.
-func resampleJittered(rng *rand.Rand, total []logmodel.Millis, slot logmodel.TimeRange, n int, j logmodel.Millis) []logmodel.Millis {
-	out := make([]logmodel.Millis, n)
-	for i := range out {
+func appendJittered(dst []logmodel.Millis, rng *rand.Rand, total []logmodel.Millis, slot logmodel.TimeRange, n int, j logmodel.Millis) []logmodel.Millis {
+	for i := 0; i < n; i++ {
 		t := total[rng.Intn(len(total))] + logmodel.Millis(rng.Int63n(int64(2*j+1))) - j
 		if t < slot.Start {
 			t = slot.Start
@@ -211,9 +231,9 @@ func resampleJittered(rng *rand.Rand, total []logmodel.Millis, slot logmodel.Tim
 		if t >= slot.End {
 			t = slot.End - 1
 		}
-		out[i] = t
+		dst = append(dst, t)
 	}
-	return out
+	return dst
 }
 
 // SlotTest runs the test in both directions for one slot and reports
@@ -226,12 +246,19 @@ func SlotTest(rng *rand.Rand, a, b []logmodel.Millis, slot logmodel.TimeRange, c
 // SlotTestRef is SlotTest with an explicit total-activity sequence for the
 // RefTotalActivity reference.
 func SlotTestRef(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg Config) bool {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	cfg = cfg.withDefaults()
-	d1 := DirectionTestRef(rng, b, a, total, slot, cfg) // distances of A's logs to B
+	return sc.slotTest(rng, a, b, total, slot, &cfg)
+}
+
+// slotTest is SlotTestRef for a cfg with defaults applied.
+func (sc *scratch) slotTest(rng *rand.Rand, a, b, total []logmodel.Millis, slot logmodel.TimeRange, cfg *Config) bool {
+	d1 := sc.direction(rng, b, a, total, slot, cfg) // distances of A's logs to B
 	if !d1.Valid || !(d1.Positive || cfg.TwoSided && d1.Farther) {
 		return false
 	}
-	d2 := DirectionTestRef(rng, a, b, total, slot, cfg) // distances of B's logs to A
+	d2 := sc.direction(rng, a, b, total, slot, cfg) // distances of B's logs to A
 	return d2.Valid && (d2.Positive || cfg.TwoSided && d2.Farther)
 }
 
@@ -293,16 +320,29 @@ func (r *Result) DependentPairs() core.PairSet {
 // which lets the streaming miner (internal/stream) cache per-slot outcomes
 // across window advances and still reproduce the batch result byte for
 // byte.
+//
+// The seed is the 64-bit FNV-1a hash of base and slotStart (little-endian)
+// followed by p.A, a zero byte and p.B. It is computed inline: hash/fnv's
+// interface value and string writes would allocate on every pair test.
 func pairSeed(base int64, slotStart logmodel.Millis, p core.Pair) int64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(base))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(slotStart))
-	h.Write(buf[:])
-	io.WriteString(h, p.A)
-	h.Write([]byte{0})
-	io.WriteString(h, p.B)
-	return int64(h.Sum64())
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range [2]uint64{uint64(base), uint64(slotStart)} {
+		for i := 0; i < 8; i++ {
+			h = (h ^ uint64(byte(v>>(8*i)))) * prime64
+		}
+	}
+	for i := 0; i < len(p.A); i++ {
+		h = (h ^ uint64(p.A[i])) * prime64
+	}
+	h *= prime64 // the zero separator: h ^ 0 == h
+	for i := 0; i < len(p.B); i++ {
+		h = (h ^ uint64(p.B[i])) * prime64
+	}
+	return int64(h)
 }
 
 // EqualCountSlots divides the range into n slots holding approximately
@@ -418,11 +458,15 @@ func SlotOutcomes(entries []logmodel.Entry, slot logmodel.TimeRange, sources []s
 	return parallel.Map(parallel.Workers(cfg.Workers), len(pairs),
 		obs.Meter(cfg.Metrics, "l1.pair_tests", func(k int) SlotOutcome {
 			p := pairs[k]
-			rng := rand.New(rand.NewSource(pairSeed(cfg.Seed, slot.Start, p)))
+			sc := scratchPool.Get().(*scratch)
+			// Reseeding yields the same stream as a fresh
+			// rand.New(rand.NewSource(seed)), without its allocation.
+			sc.rng.Seed(pairSeed(cfg.Seed, slot.Start, p))
 			o := SlotOutcome{
 				Pair:     p,
-				Positive: SlotTestRef(rng, idx[p.A], idx[p.B], total, slot, cfg),
+				Positive: sc.slotTest(sc.rng, idx[p.A], idx[p.B], total, slot, &cfg),
 			}
+			scratchPool.Put(sc)
 			if o.Positive {
 				positive.Inc()
 			}

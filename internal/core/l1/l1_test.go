@@ -2,6 +2,7 @@ package l1
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"logscape/internal/core"
@@ -129,11 +130,17 @@ func TestPairResultDerived(t *testing.T) {
 	}
 }
 
-// buildStore creates a store from per-source timestamp sequences.
+// buildStore creates a store from per-source timestamp sequences. Sources
+// are appended in name order, so entries tied on time keep one order.
 func buildStore(seqs map[string][]logmodel.Millis) *logmodel.Store {
+	srcs := make([]string, 0, len(seqs))
+	for src := range seqs {
+		srcs = append(srcs, src)
+	}
+	sort.Strings(srcs)
 	s := logmodel.NewStore(0)
-	for src, ts := range seqs {
-		for _, t := range ts {
+	for _, src := range srcs {
+		for _, t := range seqs[src] {
 			s.Append(logmodel.Entry{Time: t, Source: src, Severity: logmodel.SevInfo})
 		}
 	}

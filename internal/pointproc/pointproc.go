@@ -2,6 +2,7 @@ package pointproc
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -42,67 +43,107 @@ func DistNext(t logmodel.Millis, a []logmodel.Millis) logmodel.Millis {
 	return a[i] - t
 }
 
-// DistanceSample computes dist(p, a) for every point p of points, using the
-// given distance function (DistNearest or DistNext), and returns the
-// distances as float64 seconds. Points whose distance is undefined
-// (MaxInt64) are skipped.
-func DistanceSample(points, a []logmodel.Millis,
-	dist func(logmodel.Millis, []logmodel.Millis) logmodel.Millis) []float64 {
-	out := make([]float64, 0, len(points))
-	for _, p := range points {
-		d := dist(p, a)
-		if d == logmodel.Millis(math.MaxInt64) {
-			continue
-		}
-		out = append(out, d.Seconds())
+// AppendDistances appends dist(p, a) for every point p of points to dst, as
+// float64 seconds, and returns the extended slice. The distance is
+// DistNext when next is set and DistNearest otherwise; points whose
+// distance is undefined (MaxInt64) are skipped. points may be in any order:
+// each one is located in a by binary search. For sorted points,
+// AppendSortedDistances gives the same result in one pass.
+func AppendDistances(dst []float64, points, a []logmodel.Millis, next bool) []float64 {
+	dist := DistNearest
+	if next {
+		dist = DistNext
 	}
-	return out
+	for _, p := range points {
+		if d := dist(p, a); d != logmodel.Millis(math.MaxInt64) {
+			dst = append(dst, d.Seconds())
+		}
+	}
+	return dst
 }
 
-// UniformPoints draws n independent uniform random points in [r.Start,
-// r.End) — the random sample S_r of §3.1. The result is unsorted.
-func UniformPoints(rng *rand.Rand, r logmodel.TimeRange, n int) []logmodel.Millis {
+// AppendSortedDistances is AppendDistances for points sorted in
+// non-decreasing order: one merge walk over points and a replaces the
+// per-point binary search.
+func AppendSortedDistances(dst []float64, points, a []logmodel.Millis, next bool) []float64 {
+	i := 0
+	for _, p := range points {
+		for i < len(a) && a[i] < p {
+			i++
+		}
+		// i is now the first arrival at or after p, as DistNext and
+		// DistNearest find it by binary search.
+		best := logmodel.Millis(math.MaxInt64)
+		if i < len(a) {
+			best = a[i] - p
+		}
+		if !next && i > 0 {
+			if d := p - a[i-1]; d < best {
+				best = d
+			}
+		}
+		if best != logmodel.Millis(math.MaxInt64) {
+			dst = append(dst, best.Seconds())
+		}
+	}
+	return dst
+}
+
+// AppendUniform appends n independent uniform random points in [r.Start,
+// r.End) to dst — the random sample S_r of §3.1 — and returns the extended
+// slice. The points are unsorted. An empty range or n ≤ 0 appends nothing.
+func AppendUniform(dst []logmodel.Millis, rng *rand.Rand, r logmodel.TimeRange, n int) []logmodel.Millis {
 	d := int64(r.Duration())
 	if d <= 0 || n <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]logmodel.Millis, n)
-	for i := range out {
-		out[i] = r.Start + logmodel.Millis(rng.Int63n(d))
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Start+logmodel.Millis(rng.Int63n(d)))
 	}
-	return out
+	return dst
+}
+
+// Subsampler draws order-preserving subsamples into buffers it reuses
+// across calls. The zero value is ready to use.
+type Subsampler struct {
+	chosen []uint64 // bitset over the indices of a; all zero between calls
+	out    []logmodel.Millis
 }
 
 // Subsample returns at most n points of a chosen uniformly without
 // replacement, preserving order — the subsampling of B in §3.1 that bounds
 // the cost of the per-slot test. When len(a) ≤ n the original slice is
-// returned unchanged.
-func Subsample(rng *rand.Rand, a []logmodel.Millis, n int) []logmodel.Millis {
+// returned unchanged; otherwise the result is valid until the next call.
+func (s *Subsampler) Subsample(rng *rand.Rand, a []logmodel.Millis, n int) []logmodel.Millis {
 	if n <= 0 {
 		return nil
 	}
 	if len(a) <= n {
 		return a
 	}
-	// Floyd's algorithm for a sorted sample of indices.
-	chosen := make(map[int]bool, n)
+	words := (len(a) + 63) / 64
+	if cap(s.chosen) < words {
+		s.chosen = make([]uint64, words)
+	}
+	chosen := s.chosen[:words]
+	// Floyd's algorithm for a sample of indices.
 	for j := len(a) - n; j < len(a); j++ {
 		k := rng.Intn(j + 1)
-		if chosen[k] {
-			chosen[j] = true
-		} else {
-			chosen[k] = true
+		if chosen[k/64]&(1<<(k%64)) != 0 {
+			k = j
 		}
+		chosen[k/64] |= 1 << (k % 64)
 	}
-	idx := make([]int, 0, n)
-	for k := range chosen {
-		idx = append(idx, k)
+	// Walk the bitset in index order, clearing it for the next call.
+	out := s.out[:0]
+	for w, word := range chosen {
+		for word != 0 {
+			out = append(out, a[w*64+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+		chosen[w] = 0
 	}
-	sort.Ints(idx)
-	out := make([]logmodel.Millis, n)
-	for i, k := range idx {
-		out[i] = a[k]
-	}
+	s.out = out
 	return out
 }
 

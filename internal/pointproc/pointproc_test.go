@@ -78,7 +78,7 @@ func TestDistNearestMatchesBruteForce(t *testing.T) {
 func TestDistanceSample(t *testing.T) {
 	a := []logmodel.Millis{1000, 3000}
 	pts := []logmodel.Millis{0, 2000, 5000}
-	got := DistanceSample(pts, a, DistNearest)
+	got := AppendDistances(nil, pts, a, false)
 	want := []float64{1, 1, 2}
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
@@ -89,7 +89,7 @@ func TestDistanceSample(t *testing.T) {
 		}
 	}
 	// DistNext drops the last point (no later arrival).
-	gotNext := DistanceSample(pts, a, DistNext)
+	gotNext := AppendDistances(nil, pts, a, true)
 	if len(gotNext) != 2 || gotNext[0] != 1 || gotNext[1] != 1 {
 		t.Errorf("next sample = %v", gotNext)
 	}
@@ -98,7 +98,7 @@ func TestDistanceSample(t *testing.T) {
 func TestUniformPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := logmodel.TimeRange{Start: 100, End: 1100}
-	pts := UniformPoints(rng, r, 1000)
+	pts := AppendUniform(nil, rng, r, 1000)
 	if len(pts) != 1000 {
 		t.Fatalf("len = %d", len(pts))
 	}
@@ -116,10 +116,10 @@ func TestUniformPoints(t *testing.T) {
 	if mean < 500 || mean > 700 {
 		t.Errorf("mean = %v, want ≈ 600", mean)
 	}
-	if got := UniformPoints(rng, logmodel.TimeRange{Start: 5, End: 5}, 10); got != nil {
+	if got := AppendUniform(nil, rng, logmodel.TimeRange{Start: 5, End: 5}, 10); got != nil {
 		t.Error("empty range should yield nil")
 	}
-	if got := UniformPoints(rng, r, 0); got != nil {
+	if got := AppendUniform(nil, rng, r, 0); got != nil {
 		t.Error("n=0 should yield nil")
 	}
 }
@@ -130,7 +130,8 @@ func TestSubsample(t *testing.T) {
 	for i := range a {
 		a[i] = logmodel.Millis(i)
 	}
-	got := Subsample(rng, a, 10)
+	var s Subsampler
+	got := s.Subsample(rng, a, 10)
 	if len(got) != 10 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -140,11 +141,11 @@ func TestSubsample(t *testing.T) {
 		}
 	}
 	// n ≥ len(a): identity.
-	same := Subsample(rng, a, 200)
+	same := s.Subsample(rng, a, 200)
 	if len(same) != 100 {
 		t.Errorf("oversized subsample len = %d", len(same))
 	}
-	if got := Subsample(rng, a, 0); got != nil {
+	if got := s.Subsample(rng, a, 0); got != nil {
 		t.Error("n=0 should yield nil")
 	}
 }
@@ -158,8 +159,9 @@ func TestSubsampleUnbiased(t *testing.T) {
 	}
 	counts := make([]int, 20)
 	const trials = 5000
+	var s Subsampler
 	for i := 0; i < trials; i++ {
-		for _, p := range Subsample(rng, a, 5) {
+		for _, p := range s.Subsample(rng, a, 5) {
 			counts[int(p)]++
 		}
 	}

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
+	"sync"
 )
 
 // CI is a two-sided confidence interval at the given confidence level.
@@ -40,8 +42,8 @@ func (ci CI) Width() float64 { return ci.High - ci.Low }
 // P(x_(j) ≤ q_p ≤ x_(k)) = P(j ≤ B < k) with B ~ Binomial(n, p), and (j, k)
 // are chosen as the tightest symmetric pair around np achieving the level.
 //
-// For n below exactSearchLimit the pair is found by exact binomial search;
-// beyond that the normal approximation
+// For n up to exactSearchLimit the pair is found by exact binomial search,
+// memoized per (n, p, level); beyond that the normal approximation
 //
 //	j = ⌊np − z·√(np(1−p))⌋, k = ⌈np + z·√(np(1−p))⌉ + 1
 //
@@ -58,29 +60,82 @@ func QuantileCIIndices(n int, p, level float64) (j, k int, err error) {
 	if p <= 0 || p >= 1 {
 		return 0, 0, ErrBadLevel
 	}
-	// Feasibility: the widest possible interval [x_(1), x_(n)] has coverage
-	// P(1 ≤ B ≤ n−1) = 1 − p^n − (1−p)^n.
-	maxCover := 1 - math.Pow(p, float64(n)) - math.Pow(1-p, float64(n))
-	if maxCover < level {
+	if n > exactSearchLimit {
+		return quantileCINormal(n, p, level)
+	}
+	// NaN passes the range checks above but never equals itself as a map
+	// key, so it would only grow the memo.
+	if math.IsNaN(p) || math.IsNaN(level) {
+		return quantileCIExact(n, p, level)
+	}
+	key := ciKey{n: n, p: p, level: level}
+	ciMemo.RLock()
+	r, ok := ciMemo.m[key]
+	ciMemo.RUnlock()
+	if !ok {
+		r.j, r.k, r.err = quantileCIExact(n, p, level)
+		ciMemo.Lock()
+		ciMemo.m[key] = r
+		ciMemo.Unlock()
+	}
+	return r.j, r.k, r.err
+}
+
+// exactSearchLimit is the largest n whose ranks come from the exact
+// binomial search (and the memo).
+const exactSearchLimit = 2000
+
+type ciKey struct {
+	n        int
+	p, level float64
+}
+
+type ciRanks struct {
+	j, k int
+	err  error
+}
+
+// ciMemo holds the exact-search results of QuantileCIIndices: a pure
+// function of (n, p, level), recomputed otherwise for every L1 slot test.
+// It stays bounded because only n ≤ exactSearchLimit is cached.
+var ciMemo = struct {
+	sync.RWMutex
+	m map[ciKey]ciRanks
+}{m: make(map[ciKey]ciRanks)}
+
+// maxCoverage is the coverage of the widest interval [x_(1), x_(n)]:
+// P(1 ≤ B ≤ n−1) = 1 − p^n − (1−p)^n.
+func maxCoverage(n int, p float64) float64 {
+	return 1 - math.Pow(p, float64(n)) - math.Pow(1-p, float64(n))
+}
+
+// quantileCINormal is the normal-approximation branch of
+// QuantileCIIndices.
+func quantileCINormal(n int, p, level float64) (j, k int, err error) {
+	if maxCoverage(n, p) < level {
 		return 0, 0, ErrShortSample
 	}
-	const exactSearchLimit = 2000
-	if n > exactSearchLimit {
-		z := NormalQuantile(1 - (1-level)/2)
-		np := float64(n) * p
-		sd := math.Sqrt(np * (1 - p))
-		j = int(math.Floor(np - z*sd))
-		k = int(math.Ceil(np+z*sd)) + 1
-		if j < 1 {
-			j = 1
-		}
-		if k > n {
-			k = n
-		}
-		return j, k, nil
+	z := NormalQuantile(1 - (1-level)/2)
+	np := float64(n) * p
+	sd := math.Sqrt(np * (1 - p))
+	j = int(math.Floor(np - z*sd))
+	k = int(math.Ceil(np+z*sd)) + 1
+	if j < 1 {
+		j = 1
 	}
-	// Exact search: start from the symmetric pair around np and widen the
-	// side that gains the most coverage until the level is reached.
+	if k > n {
+		k = n
+	}
+	return j, k, nil
+}
+
+// quantileCIExact is the exact-search branch of QuantileCIIndices: start
+// from the symmetric pair around np and widen the side that gains the most
+// coverage until the level is reached.
+func quantileCIExact(n int, p, level float64) (j, k int, err error) {
+	if maxCoverage(n, p) < level {
+		return 0, 0, ErrShortSample
+	}
 	np := float64(n) * p
 	j = int(math.Floor(np))
 	if j < 1 {
@@ -139,6 +194,76 @@ func QuantileCI(sorted []float64, p, level float64) (CI, error) {
 // This is the "robust order statistics method" of the paper's approach L1.
 func MedianCI(sorted []float64, level float64) (CI, error) {
 	return QuantileCI(sorted, 0.5, level)
+}
+
+// MedianCIInPlace returns what MedianCI returns for xs once sorted, without
+// sorting: it selects the two order statistics the interval needs,
+// reordering xs in place. xs must not contain NaN.
+func MedianCIInPlace(xs []float64, level float64) (CI, error) {
+	j, k, err := QuantileCIIndices(len(xs), 0.5, level)
+	if err != nil {
+		return CI{}, err
+	}
+	selectNth(xs, k-1)
+	selectNth(xs[:k-1], j-1)
+	return CI{Low: xs[j-1], High: xs[k-1], Level: level}, nil
+}
+
+// selectNth reorders xs so that xs[nth] holds the value sort.Float64s would
+// put there, with no greater value before it and no smaller one after it.
+// It is Hoare's selection with a median-of-three pivot, which splits runs
+// of ties (common in distance samples) evenly; past a depth budget it sorts
+// the remaining range, bounding the worst case at O(n log n). xs must not
+// contain NaN.
+func selectNth(xs []float64, nth int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		// Order xs[lo], xs[mid], xs[hi]: the ends then bound both scans.
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ pivot ≤ xs[i..hi], and anything between equals
+		// the pivot.
+		switch {
+		case nth <= j:
+			hi = j
+		case nth >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
 }
 
 // MedianCIOf sorts a copy of xs and returns MedianCI of the result.
