@@ -13,7 +13,7 @@
 //
 //  1. Every flag the docs mention must be registered by some command
 //     (or be on the small allowlist of go-toolchain flags the docs
-//     legitimately quote inline, e.g. `go vet -vettool`).
+//     legitimately quote inline, e.g. `go test -race`).
 //  2. Every flag registered by the operator-facing commands — depmine,
 //     depmined and evalrun — must be mentioned somewhere in the docs.
 //
@@ -45,7 +45,7 @@ import (
 var documentedCommands = map[string]bool{"depmine": true, "depmined": true, "evalrun": true}
 
 // toolchainFlags are non-logscape flags the docs legitimately quote in
-// inline code spans — go test / go vet options, mostly. Anything else
+// inline code spans — go test / go list options, mostly. Anything else
 // documented-but-unregistered fails the audit.
 var toolchainFlags = map[string]bool{
 	"bench":     true,
@@ -58,7 +58,7 @@ var toolchainFlags = map[string]bool{
 	"run":       true,
 	"short":     true,
 	"update":    true,
-	"vettool":   true,
+	"vettool":   true, // CHANGES.md history quotes lintscape's removed vet mode
 }
 
 // flagCalls maps the flag-registration function names to the index of

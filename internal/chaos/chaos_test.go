@@ -229,15 +229,16 @@ func TestChaosEquivalenceMem(t *testing.T) {
 	}
 }
 
-// TestChaosBatchedIngestEquivalence plays a fault schedule through the bulk
-// ReadBatch → AddBatch path that batch loaders use and pins it against the
-// per-line Feeder reference: identical miner snapshots, identical ingest
-// accounting, at Workers 1 and 8. The schedule uses every line-preserving
-// fault (duplication, reordering, skew, rotation, stalls) — line-tearing
-// faults are the Feeder's domain, since logmodel.Reader treats a malformed
-// line as a stream error rather than a quarantinable reject. The batched
-// ingester also runs with RecycleBuckets on, so bucket-slice recycling is
-// pinned to have no observable effect on the mined model.
+// TestChaosBatchedIngestEquivalence plays a fault schedule through the
+// entry-at-a-time Reader.Read → Ingester.Add path that loaders of parsed
+// entries use and pins it against the per-line Feeder reference: identical
+// miner snapshots, identical ingest accounting, at Workers 1 and 8. The
+// schedule uses every line-preserving fault (duplication, reordering, skew,
+// rotation, stalls) — line-tearing faults are the Feeder's domain, since
+// logmodel.Reader treats a malformed line as a stream error rather than a
+// quarantinable reject. The reader-fed ingester also runs with
+// RecycleBuckets on, so bucket-slice recycling is pinned to have no
+// observable effect on the mined model.
 func TestChaosBatchedIngestEquivalence(t *testing.T) {
 	lines := corpusLines(120)
 	sc := Inject(lines, Schedule{Seed: 41, DuplicatePerMille: 200, ReorderWindow: 4,
@@ -254,16 +255,15 @@ func TestChaosBatchedIngestEquivalence(t *testing.T) {
 			miners := chaosMiners(wcfg)
 			in := stream.NewIngester(wcfg, miners...)
 			lr := logmodel.NewReader(hardenedSource(NewReader(sc), sc))
-			var batch [32]logmodel.Entry
 			for {
-				n, err := lr.ReadBatch(batch[:])
-				in.AddBatch(batch[:n])
+				e, err := lr.Read()
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
-					t.Fatalf("batched read: %v", err)
+					t.Fatalf("reader: %v", err)
 				}
+				in.Add(e)
 			}
 			in.Flush()
 

@@ -200,7 +200,7 @@ func runDriftStream(opts DriftOptions, withIncidents bool) (
 	}
 	for d := 0; d < opts.Days; d++ {
 		store, _ := sim.GenerateDay(d)
-		in.AddBatch(store.Entries())
+		in.AddAll(store.Entries())
 	}
 	in.Flush()
 

@@ -244,17 +244,22 @@ func openSource(cfg Config) (*source, error) {
 	}, nil
 }
 
-// stopReader polls stop before every read, turning a raised stop signal
-// into a clean end of stream at the next read boundary. The engine then
-// distinguishes a stop-EOF from a real one via the same signal and skips
-// the end-of-stream flush.
-type stopReader struct {
-	r    io.Reader
-	stop func() bool
+// engineReader ends the engine's input at the next read boundary. A sink
+// error (*emitErr) is returned as the read error, so the engine stops
+// instead of reading on while its output is lost. A raised stop signal
+// becomes a clean end of stream; the engine then tells a stop-EOF from a
+// real one via the same signal and skips the end-of-stream flush.
+type engineReader struct {
+	r       io.Reader
+	stop    func() bool // nil: never stopped
+	emitErr *error
 }
 
-func (s *stopReader) Read(p []byte) (int, error) {
-	if s.stop() {
+func (s *engineReader) Read(p []byte) (int, error) {
+	if *s.emitErr != nil {
+		return 0, *s.emitErr
+	}
+	if s.stop != nil && s.stop() {
 		return 0, io.EOF
 	}
 	return s.r.Read(p)
@@ -272,7 +277,9 @@ func lockAdvance(cfg Config) func() {
 // Run executes one follow engine to completion: model documents go to
 // stdout, delta lines and DRIFT alerts to stderr. It returns when the
 // stream ends (one-shot EOF, or a live stream's Wait hook returning
-// false), when Config.Stop is raised, or on the first error.
+// false), when Config.Stop is raised, or on the first error. A failed
+// sink — stdout, store append, checkpoint write — is an error: Run
+// returns it at the next read, without flushing the open bucket.
 func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
 	var res Result
 	if cfg.Source == "" {
@@ -533,18 +540,15 @@ func Run(cfg Config, stdout, stderr io.Writer) (Result, error) {
 		}
 	}
 
-	r := src.r
-	if cfg.Stop != nil {
-		r = &stopReader{r: src.r, stop: cfg.Stop}
-	}
-	if err := feeder.Run(r); err != nil {
-		return res, err
-	}
 	fill := func() {
 		res.Ingest = in.Stats()
 		res.Feed = feeder.Stats()
 		res.Rotations = src.rotations()
 		res.TornGzip = src.gz != nil && src.gz.Torn()
+	}
+	if err := feeder.Run(&engineReader{r: src.r, stop: cfg.Stop, emitErr: &emitErr}); err != nil {
+		fill()
+		return res, err
 	}
 	if cfg.Stop != nil && cfg.Stop() {
 		// A raised stop is the SIGKILL-equivalent: no flush, so no

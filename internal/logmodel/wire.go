@@ -158,36 +158,19 @@ func (r *Reader) Read() (Entry, error) {
 	}
 }
 
-// ReadBatch fills dst with up to len(dst) entries, returning how many were
-// read. The final batch returns n > 0 together with io.EOF when the input
-// ends mid-batch; a subsequent call returns (0, io.EOF). Batching amortizes
-// per-entry call overhead for bulk loaders (see ReadAll and the stream
-// ingest path).
-func (r *Reader) ReadBatch(dst []Entry) (int, error) {
-	for n := 0; n < len(dst); n++ {
-		e, err := r.Read()
-		if err != nil {
-			return n, err
-		}
-		dst[n] = e
-	}
-	return len(dst), nil
-}
-
 // ReadAll reads all entries from r into a new store and sorts it.
 func ReadAll(r io.Reader) (*Store, error) {
 	s := NewStore(1024)
 	lr := NewReader(r)
-	var batch [512]Entry
 	for {
-		n, err := lr.ReadBatch(batch[:])
-		s.AppendAll(batch[:n])
+		e, err := lr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
+		s.Append(e)
 	}
 	s.Sort()
 	return s, nil

@@ -335,41 +335,7 @@ func TestAppendEntryAllocFree(t *testing.T) {
 	}
 }
 
-// --- batched reader --------------------------------------------------------
-
-// TestReadBatch checks that batched reads see exactly the stream's entries
-// in order, across batch sizes that do and do not divide the entry count.
-func TestReadBatch(t *testing.T) {
-	var sb strings.Builder
-	var want []Entry
-	for i := 0; i < 10; i++ {
-		e := Entry{Time: Millis(1000 * i), Source: fmt.Sprintf("s%d", i), Severity: SevInfo,
-			Message: fmt.Sprintf("m%d", i)}
-		want = append(want, e)
-		sb.WriteString(FormatEntry(e))
-		sb.WriteByte('\n')
-	}
-	for _, size := range []int{1, 3, 10, 64} {
-		r := NewReader(strings.NewReader(sb.String()))
-		buf := make([]Entry, size)
-		var got []Entry
-		for {
-			n, err := r.ReadBatch(buf)
-			got = append(got, buf[:n]...)
-			if err != nil {
-				break
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("batch size %d: got %d entries, want %d", size, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch size %d entry %d: got %+v want %+v", size, i, got[i], want[i])
-			}
-		}
-	}
-}
+// --- reader ----------------------------------------------------------------
 
 // TestReaderLongLine checks the ReadSlice spill path: lines longer than the
 // reader's internal buffer parse intact, and lines beyond maxLineBytes fail

@@ -73,37 +73,13 @@ type CheckpointBucket struct {
 // Checkpoint captures the ingester's current window state. offset and
 // rotations describe the transport position (see the field docs); callers
 // typically take a checkpoint inside OnAdvance, right after a bucket
-// closed, with offset = Feeder.Consumed().
+// closed, with offset = Feeder.Consumed(). It is CheckpointLight plus the
+// serialized window buckets.
 func (in *Ingester) Checkpoint(offset, rotations int64) *Checkpoint {
-	c := &Checkpoint{
-		Version:       checkpointVersion,
-		Offset:        offset,
-		Rotations:     rotations,
-		BucketWidth:   in.cfg.BucketWidth,
-		WindowBuckets: in.cfg.WindowBuckets,
-		Origin:        in.origin,
-		Cur:           in.cur,
-		Open:          in.open,
-		Stats:         in.stats,
-	}
-	if !in.started {
-		c.Cur = -1 // sentinel: no origin fixed yet
-	}
-	if n := len(in.pending); n > 0 {
-		c.Pending = make([][]byte, 0, n)
-		for _, e := range in.pending {
-			c.Pending = append(c.Pending, logmodel.AppendEntry(nil, e))
-		}
-	}
+	c := in.CheckpointLight(offset, rotations)
+	c.WindowInStore = false
 	for _, b := range in.win {
-		cb := CheckpointBucket{Index: b.Index}
-		if n := len(b.Entries); n > 0 {
-			cb.Entries = make([][]byte, 0, n)
-		}
-		for _, e := range b.Entries {
-			cb.Entries = append(cb.Entries, logmodel.AppendEntry(nil, e))
-		}
-		c.Buckets = append(c.Buckets, cb)
+		c.Buckets = append(c.Buckets, CheckpointBucket{Index: b.Index, Entries: wireLines(b.Entries)})
 	}
 	return c
 }
@@ -125,19 +101,27 @@ func (in *Ingester) CheckpointLight(offset, rotations int64) *Checkpoint {
 		Origin:        in.origin,
 		Cur:           in.cur,
 		Open:          in.open,
+		Pending:       wireLines(in.pending),
 		Stats:         in.stats,
 		WindowInStore: true,
 	}
 	if !in.started {
 		c.Cur = -1 // sentinel: no origin fixed yet
 	}
-	if n := len(in.pending); n > 0 {
-		c.Pending = make([][]byte, 0, n)
-		for _, e := range in.pending {
-			c.Pending = append(c.Pending, logmodel.AppendEntry(nil, e))
-		}
-	}
 	return c
+}
+
+// wireLines renders entries as wire-format lines, nil for none — the
+// inverse of parseLines.
+func wireLines(es []logmodel.Entry) [][]byte {
+	if len(es) == 0 {
+		return nil
+	}
+	lines := make([][]byte, 0, len(es))
+	for _, e := range es {
+		lines = append(lines, logmodel.AppendEntry(nil, e))
+	}
+	return lines
 }
 
 // Restore rebuilds an ingester (and the given freshly constructed miners)

@@ -135,11 +135,10 @@ func (in *Ingester) Add(e logmodel.Entry) Verdict {
 	return v
 }
 
-// add is Add minus the metric-counter updates: the shared core that lets
-// AddBatch coalesce the per-entry atomic increments into one Add per
-// verdict class. IngestStats are updated here; only counters are deferred.
-// The pointer parameter avoids re-copying the 80-byte Entry at every hop of
-// the Feeder → Add → add → admit chain; *e is copied exactly once, by the
+// add is Add minus the metric-counter updates, which the Feeder folds in
+// once per read chunk instead. IngestStats are updated here. The pointer
+// parameter avoids re-copying the 80-byte Entry at every hop of the
+// Feeder → Add → add → admit chain; *e is copied exactly once, by the
 // append into the open bucket.
 func (in *Ingester) add(e *logmodel.Entry) Verdict {
 	if e.Time <= -MaxAbsTime || e.Time >= MaxAbsTime {
@@ -221,41 +220,11 @@ func (in *Ingester) admit(e *logmodel.Entry) {
 	in.stats.Accepted++
 }
 
-// AddAll consumes all entries of es.
+// AddAll consumes all entries of es, one Add at a time.
 func (in *Ingester) AddAll(es []logmodel.Entry) {
-	in.AddBatch(es)
-}
-
-// AddBatch consumes all entries of es and returns how many were accepted.
-// Bucket assignment, delivery order, statistics and final counter values
-// are identical to calling Add once per entry; the difference is purely
-// mechanical — the common case (the entry lands in the open bucket) takes
-// an inlined fast path, and the per-entry atomic metric increments are
-// coalesced into one Add per verdict class.
-func (in *Ingester) AddBatch(es []logmodel.Entry) int {
-	var accepted, late, corrupt int64
 	for i := range es {
-		e := &es[i]
-		if in.open && e.Time >= in.origin &&
-			e.Time > -MaxAbsTime && e.Time < MaxAbsTime &&
-			int64((e.Time-in.origin)/in.cfg.BucketWidth) == in.cur {
-			in.admit(e)
-			accepted++
-			continue
-		}
-		switch in.add(e) {
-		case VerdictAccepted:
-			accepted++
-		case VerdictLate:
-			late++
-		case VerdictCorrupt:
-			corrupt++
-		}
+		in.Add(es[i])
 	}
-	in.mAccepted.Add(accepted)
-	in.mLate.Add(late)
-	in.mCorrupt.Add(corrupt)
-	return int(accepted)
 }
 
 // Flush closes and delivers the open bucket without waiting for an entry
